@@ -102,7 +102,6 @@ func main() {
 		r.Wall.Disable()
 	}
 	r.PlanCache = opts.PlanCache
-	r.DisableBaselineMemo = !opts.BaselineMemo
 	// Zero fields select ScaleScenario's defaults (256 nodes, 100×,
 	// 30000 × -scale requests, the adaptive schedulers).
 	xferSpec := experiments.XferSpec{}

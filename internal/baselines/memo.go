@@ -51,8 +51,8 @@ func NewMemo() *Memo {
 
 // Disable turns memoization off: every Lookup misses without counting and
 // Store passes candidates through unrecorded, so the scheduler re-ranks on
-// every Plan call. The equivalence tests and the esgbench -baselinememo=false
-// knob use this as the un-memoized reference path.
+// every Plan call. The equivalence tests use this as the un-memoized
+// reference path (experiments.Runner.DisableBaselineMemo).
 func (m *Memo) Disable() { m.disabled = true }
 
 // Disabled reports whether the memo has been disabled.

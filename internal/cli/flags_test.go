@@ -14,9 +14,6 @@ func TestDefaults(t *testing.T) {
 	if o.Seed != 42 || o.Scale != 1.0 || o.Parallel != 1 {
 		t.Errorf("core defaults wrong: %+v", o)
 	}
-	if !o.BaselineMemo {
-		t.Error("the baseline memo must default to on")
-	}
 	if o.PlanCache {
 		t.Error("the ESG plan cache must default to off (opt-in)")
 	}
@@ -31,11 +28,11 @@ func TestDefaults(t *testing.T) {
 func TestParseOverrides(t *testing.T) {
 	var o Options
 	fs := NewFlagSet(&o)
-	err := fs.Parse([]string{"-seed", "7", "-baselinememo=false", "-replan", "4", "-scenario", "scale", "scale"})
+	err := fs.Parse([]string{"-seed", "7", "-plancache", "-replan", "4", "-scenario", "scale", "scale"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Seed != 7 || o.BaselineMemo || o.Replan != 4 || o.Scenario != "scale" {
+	if o.Seed != 7 || !o.PlanCache || o.Replan != 4 || o.Scenario != "scale" {
 		t.Errorf("overrides not applied: %+v", o)
 	}
 	if got := fs.Args(); len(got) != 1 || got[0] != "scale" {
@@ -50,7 +47,7 @@ func TestUsageTextCoversEveryFlag(t *testing.T) {
 	text := UsageText()
 	var o Options
 	fs := NewFlagSet(&o)
-	for _, name := range []string{"seed", "scale", "parallel", "plancache", "baselinememo",
+	for _, name := range []string{"seed", "scale", "parallel", "plancache",
 		"overhead", "quiet", "scenario", "nodes", "load", "requests", "replan", "arrival",
 		"sched", "cpuprofile", "mtbf", "mttr", "taskfail", "coldfail", "straggler",
 		"stragglerfactor"} {

@@ -451,7 +451,6 @@ func (c *Controller) Execute() *metrics.Result {
 		c.collector.RecordCacheStats(metrics.PlanCacheCounters{
 			Hits:          st.Hits,
 			IntervalHits:  st.IntervalHits,
-			Resumes:       st.Resumes,
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
 			Invalidations: st.Invalidations,

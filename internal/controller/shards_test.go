@@ -83,7 +83,6 @@ func stripCacheCounters(r *metrics.Result) *metrics.Result {
 	cp := *r
 	cp.PlanCacheHits = 0
 	cp.PlanCacheIntervalHits = 0
-	cp.PlanCacheResumes = 0
 	cp.PlanCacheMisses = 0
 	cp.PlanCacheEvictions = 0
 	cp.PlanCacheInvalidations = 0

@@ -130,8 +130,8 @@ func TestPlanCacheInvalidate(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	// Distinct signatures per entry keep the feasibility-interval and
-	// resume layers out of the way: this test is about LRU mechanics.
+	// Distinct signatures per entry keep the feasibility-interval layer
+	// out of the way: this test is about LRU mechanics.
 	o := smallOracle()
 	c := NewPlanCache(3, time.Millisecond)
 	in := cacheInput(o, 526*time.Millisecond)
@@ -161,9 +161,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// lookup must not be an exact hit, and must be answered by the
 	// surviving interval entry without searching at all.
 	c.Search(in, sig(3))
-	if st := c.Stats(); st.Misses != 6 || st.IntervalHits != 1 || st.Resumes != 0 {
-		t.Errorf("misses = %d intervalHits = %d resumes = %d, want 6, 1 and 0 (evicted victim re-answered by its interval entry)",
-			st.Misses, st.IntervalHits, st.Resumes)
+	if st := c.Stats(); st.Misses != 6 || st.IntervalHits != 1 {
+		t.Errorf("misses = %d intervalHits = %d, want 6 and 1 (evicted victim re-answered by its interval entry)",
+			st.Misses, st.IntervalHits)
 	}
 }
 
@@ -320,10 +320,10 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 	}
 }
 
-func TestPlanCacheResumeTighterTarget(t *testing.T) {
+func TestPlanCacheBelowTmaxSearchesCold(t *testing.T) {
 	// A quantized target below the covering entry's t_max cannot be an
-	// interval hit — some cached path dies — but it must resume the
-	// retained search, and the result must equal a fresh search.
+	// interval hit — some cached path dies — so it must miss and search
+	// cold, and the result must equal a fresh search.
 	o := smallOracle()
 	c := NewPlanCache(16, 5*time.Millisecond)
 	sig := "t0|/sr/seg/cls"
@@ -338,19 +338,19 @@ func TestPlanCacheResumeTighterTarget(t *testing.T) {
 	}
 	got := c.Search(cacheInput(o, q), sig)
 	st := c.Stats()
-	if st.Resumes != 1 || st.Misses != 1 {
-		t.Fatalf("stats after tightened lookup: %+v (want 1 resume, 1 miss)", st)
+	if st.Misses != 2 || st.IntervalHits != 0 || st.Hits != 0 {
+		t.Fatalf("stats after tightened lookup: %+v (want 2 misses, no hits)", st)
 	}
 	fresh := freshAtQuantized(c, cacheInput(o, q))
 	if !reflect.DeepEqual(got.Paths, fresh.Paths) || got.Feasible != fresh.Feasible {
-		t.Errorf("resumed search differs from a fresh search at the quantized target")
+		t.Errorf("below-t_max search differs from a fresh search at the quantized target")
 	}
 }
 
 func TestPlanCacheDescendingTargetsMatchFreshSearch(t *testing.T) {
 	// The controller's re-planning pattern: the same stage group searched
 	// over and over while the queue head ages and the target tightens.
-	// Every answer — exact hit, interval hit, resume, or cold — must be
+	// Every answer — exact hit, interval hit, or cold — must be
 	// byte-identical to an uncached search at the quantized target.
 	o := smallOracle()
 	names := []string{profile.SuperResolution, profile.Segmentation, profile.Deblur,

@@ -8,24 +8,22 @@
 // Invariants the rest of the repository relies on:
 //
 //   - Cached plans are read-only and capacity-frozen. A SearchResult
-//     returned by PlanCache.Search is shared between the cache, its
-//     retained search states and every past and future caller of the
-//     same key; both slice levels are capacity-capped so appends copy,
-//     and CheckMutations/Integrity detect in-place writes in tests.
+//     returned by PlanCache.Search is shared between the cache and every
+//     past and future caller of the same key; both slice levels are
+//     capacity-capped so appends copy, and CheckMutations/Integrity
+//     detect in-place writes in tests.
 //   - Search ties are content-deterministic. The kept top-K paths are
 //     ordered by pathLess (cost, then time, then configurations), never
-//     by arrival or heap-pop order, so any cache tier — exact hit,
-//     feasibility-interval hit, retained-search resume — returns
-//     byte-identical paths to a fresh search at the same quantized
-//     input. Randomized equivalence tests pin this.
+//     by arrival or heap-pop order, so either cache tier — exact hit or
+//     feasibility-interval hit — returns byte-identical paths to a
+//     fresh search at the same quantized input. Randomized equivalence
+//     tests pin this.
 //   - Quantization is conservative. Queue depths quantize exactly
 //     (every depth in a bucket admits identical config lists); GSLO
 //     targets floor to their bucket, so a reused plan is always at
-//     least as tight as the target it answers.
-//   - A retained search resumes only provably: the suspension heap
-//     keeps a minDropped watermark, and a resume whose refilled K-th
-//     cost reaches the watermark falls back to a cold search instead of
-//     returning a possibly incomplete top-K.
+//     least as tight as the target it answers. Flooring is a policy
+//     choice: a cached ESG plans at the floored target, so its results
+//     can differ from uncached ESG's.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
 //     bound, Search, SearchLevelwise and BruteForceSearch all degrade

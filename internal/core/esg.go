@@ -277,7 +277,6 @@ func (e *ESG) PlanCacheStats() sched.PlanCacheStats {
 	return sched.PlanCacheStats{
 		Hits:          st.Hits,
 		IntervalHits:  st.IntervalHits,
-		Resumes:       st.Resumes,
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
 		Invalidations: st.Invalidations,

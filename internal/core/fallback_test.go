@@ -106,16 +106,15 @@ func comparePaths(t *testing.T, desc string, got, want SearchResult) {
 	}
 }
 
-// TestDegenerateShardRetainResume is the degenerate-shard case of the
-// retained-resume machinery: the frontier is forced into per-stage shard
-// mode (lowered shardThreshold) on inputs where one stage's constraints
-// admit nothing — its list is overConstrainedFallback's single config, so
-// that stage's sub-frontier drains immediately and stays empty while the
-// other shards carry the whole search. A SearchRetain at a loose target is
-// then Resumed down a tightening GSLO ladder; every answer (resumed or the
-// cold fallback the cache would run when Resume declines) must match the
-// exhaustive oracle at that target.
-func TestDegenerateShardRetainResume(t *testing.T) {
+// TestDegenerateShardColdLadder is the degenerate-shard case of the
+// sharded frontier: the frontier is forced into per-stage shard mode
+// (lowered shardThreshold) on inputs where one stage's constraints admit
+// nothing — its list is overConstrainedFallback's single config, so that
+// stage's sub-frontier drains immediately and stays empty while the other
+// shards carry the whole search. One Searcher then runs cold searches down
+// a tightening GSLO ladder, reusing its scratch; every answer must match
+// the exhaustive oracle at that target.
+func TestDegenerateShardColdLadder(t *testing.T) {
 	defer func(old int) { shardThreshold = old }(shardThreshold)
 	// Low enough that even a blade-pruned arena (the cost blade engages
 	// within a handful of expansions at a loose target) crosses it.
@@ -131,15 +130,12 @@ func TestDegenerateShardRetainResume(t *testing.T) {
 		MaxFirstBatch: 2, Filter: onlyBatch4}
 
 	s := NewSearcher()
-	res, st := s.SearchRetain(base, nil)
+	res := s.Search(base)
 	if !s.sharded {
 		t.Fatalf("frontier never sharded (arena %d ≤ threshold %d); the degenerate case needs shard mode",
 			len(s.arena), shardThreshold)
 	}
-	comparePaths(t, "retain at 4s", res, BruteForceSearch(base))
-	if st == nil {
-		t.Fatal("loose search was not retained")
-	}
+	comparePaths(t, "search at 4s", res, BruteForceSearch(base))
 
 	for _, gslo := range []time.Duration{
 		3 * time.Second, 2 * time.Second, 1500 * time.Millisecond,
@@ -147,32 +143,16 @@ func TestDegenerateShardRetainResume(t *testing.T) {
 	} {
 		in := base
 		in.GSLO = gslo
-		desc := fmt.Sprintf("resume at %v", gslo)
-		want := BruteForceSearch(in)
-		if st != nil && !st.Dead() {
-			if got, _, ok := s.Resume(st, gslo); ok {
-				comparePaths(t, desc, got, want)
-				if st.Dead() {
-					st = nil
-				}
-				continue
-			}
-			st = nil // Resume declined: the state is consumed
-		}
-		// The cache's cold fallback: re-retain at the tighter target so
-		// the ladder keeps exercising resume below it.
-		var got SearchResult
-		got, st = s.SearchRetain(in, nil)
-		comparePaths(t, desc+" (cold)", got, want)
+		comparePaths(t, fmt.Sprintf("search at %v", gslo), s.Search(in), BruteForceSearch(in))
 	}
 }
 
-// TestDegenerateShardResumeRandomized sweeps randomized retain/resume
-// ladders with the shard threshold low enough that even SmallSpace
+// TestDegenerateShardColdLadderRandomized sweeps randomized tightening
+// GSLO ladders with the shard threshold low enough that even SmallSpace
 // searches run sharded, over filters that leave stages empty (fallback
-// lists), nearly empty, or untouched. Every rung must match the oracle —
-// resumed, answered-from-retained or searched cold alike.
-func TestDegenerateShardResumeRandomized(t *testing.T) {
+// lists), nearly empty, or untouched. Every rung is a cold search on one
+// reused Searcher and must match the oracle.
+func TestDegenerateShardColdLadderRandomized(t *testing.T) {
 	defer func(old int) { shardThreshold = old }(shardThreshold)
 	shardThreshold = 8
 
@@ -190,6 +170,7 @@ func TestDegenerateShardResumeRandomized(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	s := NewSearcher()
+	sharded := 0
 	for trial := 0; trial < 60; trial++ {
 		m := 2 + rng.Intn(2)
 		fns := make([]string, m)
@@ -205,30 +186,21 @@ func TestDegenerateShardResumeRandomized(t *testing.T) {
 			Hop:           time.Duration(rng.Intn(3)) * time.Millisecond,
 			Filter:        fl.f,
 		}
-		res, st := s.SearchRetain(in, nil)
 		desc := fmt.Sprintf("trial %d fns=%v filter=%s gslo=%v maxBatch=%d k=%d",
 			trial, fns, fl.id, in.GSLO, in.MaxFirstBatch, in.K)
-		comparePaths(t, desc, res, BruteForceSearch(in))
-		gslo := in.GSLO
-		for rung := 0; rung < 4; rung++ {
-			gslo = gslo * time.Duration(60+rng.Intn(35)) / 100
-			in.GSLO = gslo
-			rd := fmt.Sprintf("%s rung %d gslo=%v", desc, rung, gslo)
-			want := BruteForceSearch(in)
-			if st != nil && !st.Dead() {
-				if got, _, ok := s.Resume(st, gslo); ok {
-					comparePaths(t, rd, got, want)
-					if st.Dead() {
-						st = nil
-					}
-					continue
-				}
-				st = nil
+		for rung := 0; rung < 5; rung++ {
+			if rung > 0 {
+				in.GSLO = in.GSLO * time.Duration(60+rng.Intn(35)) / 100
 			}
-			var got SearchResult
-			got, st = s.SearchRetain(in, nil)
-			comparePaths(t, rd+" (cold)", got, want)
+			got := s.Search(in)
+			if s.sharded {
+				sharded++
+			}
+			comparePaths(t, fmt.Sprintf("%s rung %d gslo=%v", desc, rung, in.GSLO), got, BruteForceSearch(in))
 		}
+	}
+	if sharded == 0 {
+		t.Fatal("no rung ran with a sharded frontier; the sweep does not cover shard mode")
 	}
 }
 

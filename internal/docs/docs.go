@@ -25,7 +25,7 @@ var CheckedFiles = []string{"ARCHITECTURE.md", "README.md"}
 var linkRE = regexp.MustCompile(`\[([^\]]+)\]\(([^)\s]+)\)`)
 
 // symbolTextRE matches link text that names a code symbol — a backticked
-// dotted identifier chain like `core.PlanCache` or `Searcher.Resume`.
+// dotted identifier chain like `core.PlanCache` or `Searcher.Search`.
 var symbolTextRE = regexp.MustCompile("^`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)`$")
 
 // fileExtSegments are final identifier segments that mean the link text is

@@ -35,7 +35,7 @@ func TestRepositoryDocsAreFresh(t *testing.T) {
 func TestSymbolFor(t *testing.T) {
 	cases := []struct{ text, want string }{
 		{"`core.PlanCache`", "PlanCache"},
-		{"`Searcher.Resume`", "Resume"},
+		{"`Searcher.Search`", "Search"},
 		{"`pathLess`", "pathLess"},
 		{"`esg.go`", ""},        // file name, not a symbol
 		{"`ci.yml`", ""},        // file name

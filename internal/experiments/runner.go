@@ -94,9 +94,9 @@ type Runner struct {
 	PlanCacheSize int
 	// DisableBaselineMemo turns the always-on baseline plan memo
 	// (INFless/FaST-GShare candidate rankings, see internal/baselines)
-	// off for the runner's cells — the un-memoized reference path for
-	// A/B equivalence runs and benchmarking (esgbench
-	// -baselinememo=false). Output is byte-identical either way.
+	// off for the runner's cells: a test hook for the un-memoized
+	// reference path of the equivalence tests. Output is byte-identical
+	// either way.
 	DisableBaselineMemo bool
 
 	mu     sync.Mutex

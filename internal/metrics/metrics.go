@@ -89,13 +89,15 @@ type Result struct {
 
 	// Plan-cache counters (zero when the scheduler ran without a
 	// memoized search layer). A lookup resolves as exactly one of hit,
-	// interval hit, resume, or miss (a cold search).
+	// interval hit, or miss (a cold search).
 	PlanCacheHits          uint64
 	PlanCacheIntervalHits  uint64
-	PlanCacheResumes       uint64
 	PlanCacheMisses        uint64
 	PlanCacheEvictions     uint64
 	PlanCacheInvalidations uint64
+	// PlanCacheResumes is always 0: the plan cache has no resume tier. The
+	// field is kept only because perfbench's report still reads it.
+	PlanCacheResumes uint64
 
 	// Faults aggregates the run's fault-injection outcomes (all zero on a
 	// fault-free run).
@@ -226,11 +228,10 @@ func (r *Result) Summary() string {
 	s := fmt.Sprintf("%s/%s/%s: hit=%.1f%% cost=%s n=%d unfinished=%d cold=%d warm=%d",
 		r.Scheduler, r.Workload, r.SLOLevel, 100*r.HitRate, r.TotalCost, r.Instances,
 		r.Unfinished, r.ColdStarts, r.WarmStarts)
-	saved := r.PlanCacheHits + r.PlanCacheIntervalHits + r.PlanCacheResumes
+	saved := r.PlanCacheHits + r.PlanCacheIntervalHits
 	if lookups := saved + r.PlanCacheMisses; lookups > 0 {
-		s += fmt.Sprintf(" plancache=%d/%d (exact %d, interval %d, resume %d, cold %d)",
-			saved, lookups, r.PlanCacheHits, r.PlanCacheIntervalHits, r.PlanCacheResumes,
-			r.PlanCacheMisses)
+		s += fmt.Sprintf(" plancache=%d/%d (exact %d, interval %d, cold %d)",
+			saved, lookups, r.PlanCacheHits, r.PlanCacheIntervalHits, r.PlanCacheMisses)
 	}
 	// The faults section only appears when something was injected or
 	// suffered, so fault-free summaries are byte-identical to runs without
@@ -277,7 +278,6 @@ type Collector struct {
 type PlanCacheCounters struct {
 	Hits          uint64
 	IntervalHits  uint64
-	Resumes       uint64
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
@@ -410,7 +410,6 @@ func (c *Collector) Finalize(coldStarts, warmStarts, unfinished int, utilCPU, ut
 		WarmStarts:             warmStarts,
 		PlanCacheHits:          c.cache.Hits,
 		PlanCacheIntervalHits:  c.cache.IntervalHits,
-		PlanCacheResumes:       c.cache.Resumes,
 		PlanCacheMisses:        c.cache.Misses,
 		PlanCacheEvictions:     c.cache.Evictions,
 		PlanCacheInvalidations: c.cache.Invalidations,
