@@ -1,7 +1,7 @@
 // Command esgbench regenerates the tables and figures of the paper's
 // evaluation section (§5). Each target reproduces one artifact; "all"
 // reproduces everything, sharing scenario runs across artifacts, and
-// -scenario scale runs the production-scale stress family instead.
+// -scenario scale, chaos or planet runs that stress preset instead.
 //
 // The authoritative flag reference is the binary's own -h output, defined
 // once in internal/cli (the README embeds the identical text and
@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"github.com/esg-sched/esg/internal/cli"
@@ -64,14 +65,8 @@ func main() {
 		targets = []string{"table1", "table3", "fig5", "fig6", "fig7", "fig8",
 			"table4", "fig9", "fig10", "fig11", "fig12", "sec53"}
 	}
-	if opts.Scenario == "scale" && !contains(targets, "scale") {
-		targets = append(targets, "scale") // keep any explicit targets
-	}
-	if opts.Scenario == "chaos" && !contains(targets, "chaos") {
-		targets = append(targets, "chaos")
-	}
-	if opts.Scenario == "planet" && !contains(targets, "planet") {
-		targets = append(targets, "planet")
+	if opts.Scenario != "paper" && !slices.Contains(targets, opts.Scenario) {
+		targets = append(targets, opts.Scenario) // keep any explicit targets
 	}
 	if len(targets) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: esgbench [flags] all | table1 table3 table4 fig5..fig12 sec53 scale chaos planet (run esgbench -h for flags)")
@@ -102,27 +97,24 @@ func main() {
 		r.Wall.Disable()
 	}
 	r.PlanCache = opts.PlanCache
-	// Zero fields select ScaleScenario's defaults (256 nodes, 100×,
-	// 30000 × -scale requests, the adaptive schedulers).
-	xferSpec := experiments.XferSpec{}
+	// One spec serves every scenario target; zero fields select each
+	// preset's defaults (scale: 256 nodes, 100×, 30000 × -scale requests,
+	// the adaptive schedulers).
+	spec := experiments.ScaleSpec{Nodes: opts.Nodes, LoadFactor: opts.Load, Requests: opts.Requests,
+		Replan: opts.Replan, Arrival: opts.Arrival}
 	if opts.Xfer {
-		xferSpec = experiments.XferSpec{Enabled: true, OutFactor: opts.XferOut,
+		spec.Xfer = experiments.XferSpec{Enabled: true, OutFactor: opts.XferOut,
 			PCIeMBps: opts.PCIe, NICMBps: opts.NIC}
 	}
-	scaleSpec = experiments.ScaleSpec{Nodes: opts.Nodes, LoadFactor: opts.Load, Requests: opts.Requests, Replan: opts.Replan, Xfer: xferSpec}
-	faultSpec = opts.FaultSpec()
-	planetSpec = experiments.PlanetSpec{Nodes: opts.Nodes, LoadFactor: opts.Load, Requests: opts.Requests, Arrival: opts.Arrival, Xfer: xferSpec}
 	if opts.Sched != "" {
 		scheds, err := experiments.ParseSchedulers(opts.Sched)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "esgbench: -sched: %v (run esgbench -h for flags)\n", err)
 			os.Exit(2)
 		}
-		// An empty Schedulers list selects the scenario's default grid, so
-		// the override only applies when -sched names at least one.
-		scaleSpec.Schedulers = scheds
-		planetSpec.Schedulers = scheds
+		spec.Schedulers = scheds
 	}
+	faults := opts.FaultSpec()
 	var progress io.Writer = os.Stderr
 	if opts.Quiet {
 		progress = nil
@@ -131,7 +123,7 @@ func main() {
 
 	start := time.Now()
 	for _, target := range targets {
-		table, err := run(r, target)
+		table, err := run(r, target, spec, faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "esgbench: %s: %v\n", target, err)
 			stopProfile()
@@ -151,33 +143,14 @@ func main() {
 	}
 }
 
-// contains reports whether list holds s.
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// scaleSpec carries the -nodes/-load/-requests/-replan overrides of the
-// scale scenario (zero fields select the defaults); faultSpec carries the
-// chaos scenario's fault knobs (all zero = no fault injection).
-var (
-	scaleSpec  experiments.ScaleSpec
-	faultSpec  fault.Spec
-	planetSpec experiments.PlanetSpec
-)
-
-func run(r *experiments.Runner, target string) (*experiments.Table, error) {
+func run(r *experiments.Runner, target string, spec experiments.ScaleSpec, faults fault.Spec) (*experiments.Table, error) {
 	switch target {
 	case "scale":
-		return experiments.ScaleScenario(r, scaleSpec)
+		return experiments.ScaleScenario(r, spec)
 	case "chaos":
-		return experiments.ChaosScenario(r, scaleSpec, faultSpec)
+		return experiments.ChaosScenario(r, spec, faults)
 	case "planet":
-		return experiments.PlanetScenario(r, planetSpec)
+		return experiments.PlanetScenario(r, spec)
 	case "table1":
 		return experiments.Table1(), nil
 	case "table3":

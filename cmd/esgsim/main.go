@@ -7,8 +7,9 @@
 //
 //	esgsim -scheduler ESG -workload light -slo strict -requests 1000
 //
-// Schedulers: ESG, INFless, FaST-GShare, Orion, Aquatope, plus the Fig. 12
-// ablations ESG-noshare and ESG-nobatch.
+// Schedulers: every name in experiments.KnownSchedulers — ESG, the Fig. 12
+// ablations ESG-noshare and ESG-nobatch, INFless, FaST-GShare, Orion,
+// Aquatope, GSwarm and HAS-GPU. -group and -k tune the ESG variants.
 package main
 
 import (
@@ -18,12 +19,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/esg-sched/esg/internal/baselines/aquatope"
-	"github.com/esg-sched/esg/internal/baselines/fastgshare"
-	"github.com/esg-sched/esg/internal/baselines/infless"
-	"github.com/esg-sched/esg/internal/baselines/orion"
 	"github.com/esg-sched/esg/internal/controller"
 	"github.com/esg-sched/esg/internal/core"
+	"github.com/esg-sched/esg/internal/experiments"
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/rng"
 	"github.com/esg-sched/esg/internal/sched"
@@ -33,7 +31,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("scheduler", "ESG", "scheduler: ESG, INFless, FaST-GShare, Orion, Aquatope, ESG-noshare, ESG-nobatch")
+		schedName = flag.String("scheduler", "ESG", "scheduler: "+strings.Join(experiments.KnownSchedulers(), ", "))
 		level     = flag.String("workload", "light", "workload level: heavy, normal, light")
 		slo       = flag.String("slo", "strict", "SLO setting: strict, moderate, relaxed")
 		requests  = flag.Int("requests", 1000, "number of application requests")
@@ -54,9 +52,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	s, err := BuildScheduler(*schedName, *seed, *groupSize, *k)
+	s, err := experiments.NewScheduler(*schedName, *seed)
 	if err != nil {
 		fatal(err)
+	}
+	if esg, ok := s.(*core.ESG); ok {
+		esg.GroupSize, esg.K = *groupSize, *k
 	}
 
 	cfg := controller.Config{
@@ -134,28 +135,6 @@ func main() {
 				b*10, (b+1)*10, bk.n, 100*float64(bk.hits)/float64(bk.n),
 				float64(bk.lat/time.Duration(bk.n))/float64(time.Millisecond))
 		}
-	}
-}
-
-// BuildScheduler constructs a scheduler by name.
-func BuildScheduler(name string, seed uint64, groupSize, k int) (sched.Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "esg":
-		return core.New(core.WithGroupSize(groupSize), core.WithK(k)), nil
-	case "esg-noshare":
-		return core.New(core.WithGroupSize(groupSize), core.WithK(k), core.WithoutGPUSharing()), nil
-	case "esg-nobatch":
-		return core.New(core.WithGroupSize(groupSize), core.WithK(k), core.WithoutBatching()), nil
-	case "infless":
-		return infless.New(), nil
-	case "fast-gshare", "fastgshare":
-		return fastgshare.New(), nil
-	case "orion":
-		return orion.New(), nil
-	case "aquatope":
-		return aquatope.New(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
 	}
 }
 

@@ -8,6 +8,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -118,9 +119,23 @@ func (o *Options) FaultSpec() fault.Spec {
 }
 
 // Validate rejects flag combinations the scenarios would misinterpret:
-// negative scenario knobs, an unknown -scenario, and fault knobs outside
-// -scenario chaos (where they would be silently ignored).
+// non-finite or negative scenario knobs, an unknown -scenario, and fault
+// knobs outside -scenario chaos (where they would be silently ignored).
 func (o *Options) Validate() error {
+	// NaN and ±Inf parse as floats but slip past every ordered check
+	// below, so they are rejected up front (the fault rates are checked
+	// by fault.Spec.Validate).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-scale", o.Scale}, {"-load", o.Load}, {"-replan", o.Replan},
+		{"-xferout", o.XferOut}, {"-pcie", o.PCIe}, {"-nic", o.NIC},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s must be a finite number, got %g", f.name, f.v)
+		}
+	}
 	switch o.Scenario {
 	case "paper", "scale", "chaos", "planet":
 	default:
@@ -138,9 +153,7 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("-replan applies to -scenario scale/chaos, not planet")
 	}
 	if o.Sched != "" {
-		switch o.Scenario {
-		case "scale", "chaos", "planet":
-		default:
+		if o.Scenario == "paper" {
 			return fmt.Errorf("-sched requires -scenario scale, chaos or planet")
 		}
 		// Name resolution (aliases, duplicates) lives with the scheduler
@@ -182,9 +195,7 @@ func (o *Options) Validate() error {
 		}
 		return nil
 	}
-	switch o.Scenario {
-	case "scale", "chaos", "planet":
-	default:
+	if o.Scenario == "paper" {
 		return fmt.Errorf("-xfer requires -scenario scale, chaos or planet")
 	}
 	if o.XferOut <= 0 {

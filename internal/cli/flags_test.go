@@ -121,6 +121,19 @@ func TestValidate(t *testing.T) {
 		"sched with empty element":  {"-scenario", "scale", "-sched", "ESG,,GSwarm"},
 		"sched trailing comma":      {"-scenario", "scale", "-sched", "ESG,"},
 		"sched only whitespace":     {"-scenario", "scale", "-sched", " "},
+		// NaN and ±Inf parse as floats and slip past ordered checks.
+		"NaN scale":             {"-scale", "NaN"},
+		"infinite load":         {"-scenario", "scale", "-load", "+Inf"},
+		"NaN load on planet":    {"-scenario", "planet", "-load", "NaN"},
+		"NaN replan":            {"-scenario", "scale", "-replan", "NaN"},
+		"NaN task-fail rate":    {"-scenario", "chaos", "-taskfail", "NaN"},
+		"NaN cold-fail rate":    {"-scenario", "chaos", "-coldfail", "NaN"},
+		"infinite straggler":    {"-scenario", "chaos", "-straggler", "+Inf"},
+		"infinite stragglerfac": {"-scenario", "chaos", "-straggler", "0.1", "-stragglerfactor", "+Inf"},
+		"NaN xferout":           {"-scenario", "scale", "-xfer", "-xferout", "NaN"},
+		"infinite xferout":      {"-scenario", "scale", "-xfer", "-xferout", "+Inf"},
+		"NaN pcie":              {"-scenario", "scale", "-xfer", "-pcie", "NaN"},
+		"negative-infinite nic": {"-scenario", "planet", "-xfer", "-nic", "-Inf"},
 	}
 	for name, args := range bad {
 		if err := parse(t, args...); err == nil {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/esg-sched/esg/internal/metrics"
 	"github.com/esg-sched/esg/internal/sched"
+	"github.com/esg-sched/esg/internal/workload"
 )
 
 // baselineMemoExport renders everything deterministic about a run: the
@@ -63,5 +64,33 @@ func TestBaselineMemoEquivalenceUnderReplanPressure(t *testing.T) {
 					plain.PlanCacheHits, plain.PlanCacheMisses)
 			}
 		})
+	}
+}
+
+// TestBaselineMemoHookOnPlanetCell: the hook must survive the planet
+// grid's shared ranking memo — the cell builder applies it after attaching
+// the grid's memos, so a hooked INFless planet cell records no lookups at
+// all while the unhooked cell does.
+func TestBaselineMemoHookOnPlanetCell(t *testing.T) {
+	spec := PlanetSpec{Nodes: 64, LoadFactor: 2, Requests: 2000}
+	lookups := func(disableMemo bool) uint64 {
+		r := NewRunner(42, 1)
+		r.Overhead = sched.OverheadNone
+		r.DisableBaselineMemo = disableMemo
+		cell := r.PlanetCell(INFless, workload.Burst, spec, newGridMemos())
+		if err := r.Resolve(cell); err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.cached(cell.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PlanCacheHits + res.PlanCacheMisses
+	}
+	if n := lookups(false); n == 0 {
+		t.Fatal("memoized planet cell recorded no lookups — the check proves nothing")
+	}
+	if n := lookups(true); n != 0 {
+		t.Errorf("memo-disabled planet cell recorded %d lookups", n)
 	}
 }

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -41,26 +42,53 @@ const (
 // reporting order.
 var Comparison = []string{ESG, INFless, FaSTGShare, Orion, Aquatope}
 
+// registry is the one scheduler table: every name NewScheduler builds,
+// in reporting order, with its accepted spellings. Matching is
+// case-insensitive; aliases are extra lower-case spellings.
+var registry = []struct {
+	name    string
+	aliases []string
+	build   func(seed uint64) sched.Scheduler
+}{
+	{ESG, nil, func(uint64) sched.Scheduler { return core.New() }},
+	{ESGNoShare, nil, func(uint64) sched.Scheduler { return core.New(core.WithoutGPUSharing()) }},
+	{ESGNoBatch, nil, func(uint64) sched.Scheduler { return core.New(core.WithoutBatching()) }},
+	{INFless, nil, func(uint64) sched.Scheduler { return infless.New() }},
+	{FaSTGShare, []string{"fastgshare"}, func(uint64) sched.Scheduler { return fastgshare.New() }},
+	{Orion, nil, func(uint64) sched.Scheduler { return orion.New() }},
+	{Aquatope, nil, func(seed uint64) sched.Scheduler { return aquatope.New(seed) }},
+	{GSwarm, nil, func(uint64) sched.Scheduler { return gswarm.New() }},
+	{HASGPU, []string{"hasgpu"}, func(uint64) sched.Scheduler { return hasgpu.New() }},
+}
+
+// lookupScheduler resolves any accepted spelling to its registry index.
+func lookupScheduler(name string) (int, bool) {
+	name = strings.ToLower(name)
+	for i, e := range registry {
+		if name == strings.ToLower(e.name) || slices.Contains(e.aliases, name) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // KnownSchedulers lists every scheduler NewScheduler accepts, by canonical
 // name, in reporting order: the paper's five-scheduler comparison plus the
 // two ESG ablations and the two extension baselines (GSwarm static
 // placement, HAS-GPU hybrid auto-scaling).
 func KnownSchedulers() []string {
-	return []string{ESG, ESGNoShare, ESGNoBatch, INFless, FaSTGShare, Orion, Aquatope, GSwarm, HASGPU}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
 }
 
 // ParseSchedulers resolves a comma-separated scheduler list (the -sched
 // flag) to canonical names, rejecting unknown names, empty elements and
-// duplicates. Matching is the same case-insensitive alias set NewScheduler
-// uses, so any list ParseSchedulers accepts is constructible.
+// duplicates. Matching is NewScheduler's own registry lookup, so any list
+// ParseSchedulers accepts is constructible.
 func ParseSchedulers(csv string) ([]string, error) {
-	canon := make(map[string]string)
-	for _, name := range KnownSchedulers() {
-		canon[strings.ToLower(name)] = name
-	}
-	canon["fastgshare"] = FaSTGShare // NewScheduler's alias
-	canon["hasgpu"] = HASGPU
-
 	var out []string
 	seen := make(map[string]bool)
 	for _, raw := range strings.Split(csv, ",") {
@@ -68,11 +96,12 @@ func ParseSchedulers(csv string) ([]string, error) {
 		if name == "" {
 			return nil, fmt.Errorf("experiments: empty scheduler name in list %q", csv)
 		}
-		c, ok := canon[strings.ToLower(name)]
+		i, ok := lookupScheduler(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown scheduler %q (known: %s)",
 				name, strings.Join(KnownSchedulers(), ", "))
 		}
+		c := registry[i].name
 		if seen[c] {
 			return nil, fmt.Errorf("experiments: duplicate scheduler %q", c)
 		}
@@ -115,31 +144,14 @@ func baseRequests(level workload.Level) int {
 	}
 }
 
-// NewScheduler builds a scheduler by name. seed drives Aquatope's offline
-// training.
+// NewScheduler builds a scheduler by name (any spelling ParseSchedulers
+// accepts). seed drives Aquatope's offline training.
 func NewScheduler(name string, seed uint64) (sched.Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "esg":
-		return core.New(), nil
-	case "esg-noshare":
-		return core.New(core.WithoutGPUSharing()), nil
-	case "esg-nobatch":
-		return core.New(core.WithoutBatching()), nil
-	case "infless":
-		return infless.New(), nil
-	case "fast-gshare", "fastgshare":
-		return fastgshare.New(), nil
-	case "orion":
-		return orion.New(), nil
-	case "aquatope":
-		return aquatope.New(seed), nil
-	case "gswarm":
-		return gswarm.New(), nil
-	case "has-gpu", "hasgpu":
-		return hasgpu.New(), nil
-	default:
+	i, ok := lookupScheduler(name)
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
 	}
+	return registry[i].build(seed), nil
 }
 
 // Table is a printable experiment artifact: the rows/series of one paper

@@ -85,14 +85,14 @@ func TestPlanetDeterminism(t *testing.T) {
 // arrival shapes over one scheduler the distribution and split memos must
 // see hits from the second cell on (same apps, same SLO).
 func TestPlanetSharedMemos(t *testing.T) {
-	memos := newPlanetMemos()
+	memos := newGridMemos()
 	r := planetRunner(42, 1, 1)
 	spec := miniPlanet
 	if spec.Nodes <= 0 {
 		t.Fatal("miniPlanet must pin Nodes")
 	}
 	spec.Schedulers = []string{ESG}
-	shapes, err := planetShapes("")
+	shapes, err := arrivalShapes("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,13 @@ type Cell struct {
 	Level workload.Level
 	SLO   workflow.SLOLevel
 
-	// Trace, when non-nil, overrides the level-derived request trace (the
-	// scale scenarios compress arrival intervals beyond any Level).
+	// Trace, when non-nil, overrides the level-derived request trace.
 	Trace *workload.Trace
 	// Source, when non-nil, overrides both Trace and the level-derived
 	// trace with a streaming request source built fresh inside the worker
 	// that executes the cell (sources are stateful iterators, so they are
-	// never shared across runs). The planet scenario uses generated
-	// streams here so its request counts never materialize.
+	// never shared across runs). The stress presets build their
+	// compressed traces or generated streams here, inside the worker.
 	Source func() workload.Source
 	// Tune, when non-nil, adjusts the assembled controller configuration
 	// before the run (custom clusters, application sets, timeouts).
@@ -181,22 +180,34 @@ func (r *Runner) config(level workload.Level, slo workflow.SLOLevel) controller.
 // the (scheduler, setting) grid of Figs. 6–8/10/12 and Table 4.
 func (r *Runner) ComparisonCell(name string, level workload.Level, slo workflow.SLOLevel) Cell {
 	return Cell{
-		Key: fmt.Sprintf("%s/%s/%s", name, level, slo),
-		Make: func() (sched.Scheduler, error) {
-			s, err := NewScheduler(name, r.Seed)
-			if aq, ok := s.(*aquatope.Scheduler); ok {
-				aq.Memo = r.aquatopeMemo
-			}
-			if r.DisableBaselineMemo {
-				if mu, ok := s.(baselines.MemoUser); ok {
-					mu.PlanMemo().Disable()
-				}
-			}
-			return s, err
-		},
+		Key:   fmt.Sprintf("%s/%s/%s", name, level, slo),
+		Make:  func() (sched.Scheduler, error) { return r.newScheduler(name, nil) },
 		Level: level,
 		SLO:   slo,
 	}
+}
+
+// newScheduler builds a named scheduler for one run: the runner's shared
+// Aquatope training, the grid's shared memos (nil: none), and last the
+// DisableBaselineMemo hook, so no shared memo can re-enable memoization
+// under it.
+func (r *Runner) newScheduler(name string, memos *gridMemos) (sched.Scheduler, error) {
+	s, err := NewScheduler(name, r.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if aq, ok := s.(*aquatope.Scheduler); ok {
+		aq.Memo = r.aquatopeMemo
+	}
+	if memos != nil {
+		memos.attach(name, s)
+	}
+	if mu, ok := s.(planMemoSetter); ok && r.DisableBaselineMemo {
+		off := baselines.NewMemo()
+		off.Disable()
+		mu.SetPlanMemo(off)
+	}
+	return s, nil
 }
 
 // Resolve runs every not-yet-cached cell, fanning out over the worker pool

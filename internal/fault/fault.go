@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -77,9 +78,12 @@ func (s Spec) Validate() error {
 		{"cold-start failure rate", s.ColdFailRate},
 		{"straggler rate", s.StragglerRate},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s %g outside [0,1]", p.name, p.v)
 		}
+	}
+	if math.IsNaN(s.StragglerFactor) || math.IsInf(s.StragglerFactor, 0) {
+		return fmt.Errorf("fault: straggler factor must be finite, got %g", s.StragglerFactor)
 	}
 	if s.StragglerFactor < 0 || (s.StragglerFactor > 0 && s.StragglerFactor < 1) {
 		return fmt.Errorf("fault: straggler factor %g must be >= 1 (or 0 for the default)", s.StragglerFactor)

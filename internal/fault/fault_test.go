@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,6 +67,13 @@ func TestSpecValidate(t *testing.T) {
 		{ColdFailRate: 2},
 		{StragglerRate: -1},
 		{StragglerRate: 0.1, StragglerFactor: 0.5}, // a speed-up, not a slowdown
+		// Non-finite values fail no ordered comparison, so each needs its
+		// own rejection.
+		{TaskFailRate: math.NaN()},
+		{ColdFailRate: math.Inf(1)},
+		{StragglerRate: math.NaN()},
+		{StragglerRate: 0.1, StragglerFactor: math.NaN()},
+		{StragglerRate: 0.1, StragglerFactor: math.Inf(1)},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
