@@ -109,7 +109,7 @@ type (
 	SearchResult = core.SearchResult
 	// Path is one full configuration path over a stage sequence.
 	Path = core.Path
-	// PlanCache memoizes ESG_1Q searches (LRU over quantized targets).
+	// PlanCache memoizes ESG_1Q searches (exact, or over bucketed targets).
 	PlanCache = core.PlanCache
 	// PlanCacheStats are a plan cache's hit/miss/eviction counters.
 	PlanCacheStats = core.CacheStats
@@ -172,13 +172,13 @@ func NewESG(opts ...ESGOption) Scheduler { return core.New(opts...) }
 
 // NewPlanCache returns a memoized ESG_1Q search layer bounded to capacity
 // entries with the given target-latency bucket width (non-positive values
-// select the defaults). Attach it with WithPlanCache, or let the emulator
-// attach one per run via RunConfig.PlanCache.
+// select the defaults: 4096, 5 ms). Every ESG plans through an exact cache
+// (1 ns buckets); WithPlanCache or RunConfig.PlanCache (5 ms) replace it.
 func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
 	return core.NewPlanCache(capacity, granularity)
 }
 
-// WithPlanCache attaches a plan cache to an ESG scheduler.
+// WithPlanCache replaces an ESG scheduler's exact plan cache with c.
 func WithPlanCache(c *PlanCache) ESGOption { return core.WithPlanCache(c) }
 
 // ESG scheduler options.

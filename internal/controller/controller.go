@@ -80,17 +80,17 @@ type Config struct {
 	// which jobs batch up — beats spawning one.
 	DeferFraction float64
 
-	// PlanCache enables the scheduler's optional memoized plan search
-	// when the scheduler supports one (sched.PlanCaching — ESG's plan
-	// cache). Schedulers without an optional cache run unchanged: the
-	// baselines' plan memo is structural and always on, so for them this
-	// flag is a no-op and their hit/cold counters are reported with the
-	// run's metrics either way.
+	// PlanCache asks a sched.PlanCaching scheduler for its approximate
+	// plan cache: ESG swaps its always-on exact cache for one that floors
+	// group targets to PlanCacheGranularity, so it can plan differently.
+	// The baselines' plan memo is structural and always on, so for them
+	// this flag is a no-op. Every caching scheduler's hit/cold counters
+	// are reported with the run's metrics either way.
 	PlanCache bool
 	// PlanCacheSize bounds the number of cached plans (0 = default).
 	PlanCacheSize int
 	// PlanCacheGranularity is the target-latency bucket width of the
-	// cache key (0 = default).
+	// bucketed cache (0 = default, 5 ms).
 	PlanCacheGranularity time.Duration
 
 	// StreamMetrics replaces the exact stored-sample metrics recorder with

@@ -13,7 +13,7 @@ import (
 // Plan-cache defaults. The granularity trades hit rate against plan
 // freshness: group targets are floored to a bucket boundary before the
 // search runs, so a cached plan is always at least as tight as the target
-// it is reused for.
+// it is reused for. At 1 ns (ESG's default) the cache is exact.
 const (
 	// DefaultCacheSize bounds the number of memoized searches kept.
 	// Entries are small (up to K paths of a few estimates each), and the
@@ -24,10 +24,10 @@ const (
 	// answer from their own side structure and insert nothing here, so the
 	// LRU only ever holds genuinely searched keys.
 	DefaultCacheSize = 4096
-	// DefaultCacheGranularity is the GSLO bucket width. The controller's
-	// scheduling quantum is 2 ms, so targets recur at millisecond scale;
-	// 5 ms buckets absorb the jitter of the queue head's elapsed time
-	// while staying well inside the 0.9 planning margin.
+	// DefaultCacheGranularity is the GSLO bucket of the -plancache
+	// approximation. The scheduling quantum is 2 ms, so targets recur at
+	// millisecond scale; 5 ms buckets absorb the queue head's elapsed-time
+	// jitter while staying well inside the 0.9 planning margin.
 	DefaultCacheGranularity = 5 * time.Millisecond
 
 	// maxIntervalPerKey bounds the interval-indexed entries per stage
@@ -100,14 +100,14 @@ type intervalKey struct {
 //   - GSLO is floored to a Granularity bucket and the search runs against
 //     the bucket floor. This is conservative: every path feasible under
 //     the floored target is feasible under the real one, so a cached plan
-//     never overshoots the SLO it is reused for. It is also a different
-//     policy from uncached ESG, which plans at the exact target: the
-//     cache is identical to a fresh search at the floored target, not at
-//     the caller's.
+//     never overshoots the SLO it is reused for. Wider than 1 ns it is an
+//     approximation: answers equal a fresh search at the floored target,
+//     not the caller's. At 1 ns (ESG's default) flooring is the identity
+//     and every answer equals a fresh search at the caller's target.
 //
 // On top of the exact keys, every entry carries a GSLO feasibility
-// interval so adjacent buckets hit instead of re-searching: a feasible
-// search at bucket g whose slowest kept path takes t_max answers every
+// interval so other targets hit instead of re-searching: a feasible
+// search at target g whose slowest kept path takes t_max answers every
 // quantized target in [t_max, g] (the K cheapest paths cannot change while
 // they all stay feasible), and an infeasible search at g answers every
 // tighter target (the drain fallback is GSLO-independent). Targets below
@@ -199,7 +199,7 @@ func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
 	return &PlanCache{
 		capacity:    capacity,
 		granularity: granularity,
-		entries:     make(map[cacheKey]*list.Element, capacity),
+		entries:     make(map[cacheKey]*list.Element),
 		order:       list.New(),
 		intervals:   make(map[intervalKey]*intervalList),
 		oracleIDs:   make(map[*profile.Oracle]uint64),
@@ -285,7 +285,7 @@ func (c *PlanCache) Integrity() error {
 // cached paths embed estimates from the old tables.
 func (c *PlanCache) Invalidate() {
 	c.mu.Lock()
-	c.entries = make(map[cacheKey]*list.Element, c.capacity)
+	c.entries = make(map[cacheKey]*list.Element)
 	c.order.Init()
 	c.intervals = make(map[intervalKey]*intervalList)
 	c.oracleIDs = make(map[*profile.Oracle]uint64)

@@ -3,7 +3,7 @@
 // cost/time pruning, §3.3 and Appendix B), the dominator-distribution
 // glue that turns an AFW queue into a group search, the locality-aware
 // dispatch hooks, and the memoized PlanCache that makes re-planning
-// cheap at production scale.
+// cheap at production scale (every ESG plans through one).
 //
 // Invariants the rest of the repository relies on:
 //
@@ -21,9 +21,9 @@
 //   - Quantization is conservative. Queue depths quantize exactly
 //     (every depth in a bucket admits identical config lists); GSLO
 //     targets floor to their bucket, so a reused plan is always at
-//     least as tight as the target it answers. Flooring is a policy
-//     choice: a cached ESG plans at the floored target, so its results
-//     can differ from uncached ESG's.
+//     least as tight as the target it answers. ESG's default 1 ns bucket
+//     makes flooring the identity (FuzzPlanCacheExact pins it); wider
+//     buckets (-plancache) are an approximation that can plan otherwise.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
 //     bound, Search, SearchLevelwise and BruteForceSearch all degrade

@@ -40,11 +40,12 @@ type ESG struct {
 	// Plan path.
 	Dists *DistMemo
 
-	// cache, when non-nil, memoizes ESG_1Q searches across Plan calls.
+	// cache memoizes ESG_1Q searches across Plan calls: exact from New,
+	// bucketed after EnablePlanCache.
 	cache *PlanCache
-	// mu guards the lazily filled sigs and dists memos so Plan is safe
-	// under the controller's parallel pre-planning (ConcurrentPlanOK).
-	// The plan cache carries its own synchronization.
+	// mu guards cache and the lazily filled sigs and dists memos so Plan
+	// is safe under parallel pre-planning (ConcurrentPlanOK). The plan
+	// cache carries its own synchronization.
 	mu sync.Mutex
 	// sigs memoizes the cache signature per (oracle, stage) — Plan is
 	// the hot path, and the signature is deterministic for those inputs.
@@ -79,15 +80,18 @@ func WithoutGPUSharing() Option { return func(e *ESG) { e.DisableGPUSharing = tr
 // WithoutBatching disables batching (ablation).
 func WithoutBatching() Option { return func(e *ESG) { e.DisableBatching = true } }
 
-// WithPlanCache attaches a memoized ESG_1Q search layer (see PlanCache).
+// WithPlanCache replaces the exact plan cache New attaches (c non-nil).
 func WithPlanCache(c *PlanCache) Option { return func(e *ESG) { e.cache = c } }
 
-// New returns an ESG scheduler with the paper's defaults.
+// New returns an ESG scheduler with the paper's defaults. It plans through
+// an exact plan cache (1 ns buckets): every answer is a cold search's.
 func New(opts ...Option) *ESG {
 	e := &ESG{
 		GroupSize: dominator.DefaultGroupSize,
 		K:         DefaultK,
 		Margin:    0.9,
+		cache:     NewPlanCache(DefaultCacheSize, time.Nanosecond),
+		sigs:      make(map[sigKey]string),
 		dists:     make(map[int]*dominator.Distribution),
 	}
 	for _, o := range opts {
@@ -162,12 +166,20 @@ func (e *ESG) configFilter(env *sched.Env) func(profile.Config) bool {
 
 // Plan implements sched.Scheduler: it computes the queue's remaining group
 // sequence and time quota from the dominator-based distribution, derives
-// the group target latency (SLO − w) × q, runs ESG_1Q, and returns the
-// distinct first-stage configurations of the top-K paths as the
-// configuration priority queue.
+// the group target latency (SLO − w) × q, runs ESG_1Q through the plan
+// cache, and returns the distinct first-stage configurations of the top-K
+// paths as the configuration priority queue.
 func (e *ESG) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 	sw := sched.StartStopwatch(env)
+	in, stages := e.searchInput(env, q, now)
+	cache, sig := e.groupSignature(env, q, stages)
+	res := cache.Search(in, sig)
+	return sched.Plan{Overhead: sw.Elapsed(), Candidates: firstStageConfigs(res, q.Len())}
+}
 
+// searchInput builds one Plan call's ESG_1Q input and returns the queue's
+// remaining group sequence with it.
+func (e *ESG) searchInput(env *sched.Env, q *queue.AFW, now time.Duration) (SearchInput, []int) {
 	dist := e.distribution(env, q.AppIndex)
 	stages, quota := dist.RemainingSequence(q.Stage)
 
@@ -189,34 +201,32 @@ func (e *ESG) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 	// into the search when the topology is enabled (HopTransfer otherwise,
 	// unchanged). It is a pure function of static config, so concurrent
 	// planning stays sound and the plan cache keys on the hop value.
-	in := SearchInput{
+	return SearchInput{
 		Tables:        tables,
 		GSLO:          gslo,
 		MaxFirstBatch: q.Len(),
 		K:             e.K,
 		Hop:           env.GroupHop(q.AppIndex, stages),
 		Filter:        e.configFilter(env),
-	}
-	var res SearchResult
-	if e.cache != nil {
-		res = e.cache.Search(in, e.groupSignature(env, q, stages))
-	} else {
-		res = Search(in)
-	}
+	}, stages
+}
 
-	plan := sched.Plan{Overhead: sw.Elapsed()}
+// firstStageConfigs returns the distinct first-stage configurations of the
+// result's paths in path order, batches bounded by the queue length.
+func firstStageConfigs(res SearchResult, qlen int) []profile.Config {
+	var out []profile.Config
 	seen := make(map[profile.Config]bool, len(res.Paths))
 	for _, p := range res.Paths {
 		cfg := p.Ests[0].Config
-		if cfg.Batch > q.Len() {
-			cfg.Batch = q.Len() // defensive: Search already bounds stage 0
+		if cfg.Batch > qlen {
+			cfg.Batch = qlen // defensive: Search already bounds stage 0
 		}
 		if !seen[cfg] {
 			seen[cfg] = true
-			plan.Candidates = append(plan.Candidates, cfg)
+			out = append(out, cfg)
 		}
 	}
-	return plan
+	return out
 }
 
 // groupSignature identifies the stage-group search for the plan cache:
@@ -225,23 +235,21 @@ func (e *ESG) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 // function sequence, and the ablation-filter identity. Signatures are
 // memoized per (oracle, app, stage) — the remaining sequence is
 // deterministic for those inputs — keeping the hit path allocation-free.
-func (e *ESG) groupSignature(env *sched.Env, q *queue.AFW, stages []int) string {
+// The cache that named the signature's tables is returned with it.
+func (e *ESG) groupSignature(env *sched.Env, q *queue.AFW, stages []int) (*PlanCache, string) {
 	k := sigKey{oracle: env.Oracle, appIndex: q.AppIndex, stage: q.Stage}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if sig, ok := e.sigs[k]; ok {
-		return sig
+		return e.cache, sig
 	}
 	fns := make([]string, len(stages))
 	for i, s := range stages {
 		fns[i] = q.App.Stage(s).Function
 	}
 	sig := GroupSignature(e.cache.TableID(env.Oracle), fns, e.filterID(env))
-	if e.sigs == nil {
-		e.sigs = make(map[sigKey]string)
-	}
 	e.sigs[k] = sig
-	return sig
+	return e.cache, sig
 }
 
 // filterID names the active admissibility filter (the Fig. 12
@@ -260,35 +268,26 @@ func (e *ESG) filterID(env *sched.Env) string {
 	}
 }
 
-// EnablePlanCache implements sched.PlanCaching: it attaches a fresh
-// memoized search layer (replacing any existing one).
+// EnablePlanCache implements sched.PlanCaching: it replaces the exact cache
+// with the approximation that plans at targets floored to granularity
+// buckets (0 = DefaultCacheGranularity), not at the caller's targets.
 func (e *ESG) EnablePlanCache(capacity int, granularity time.Duration) {
-	e.cache = NewPlanCache(capacity, granularity)
-	e.sigs = nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cache, e.sigs = NewPlanCache(capacity, granularity), make(map[sigKey]string)
 }
 
-// PlanCacheStats implements sched.PlanCaching; zero counters when no cache
-// is attached.
+// PlanCacheStats implements sched.PlanCaching.
 func (e *ESG) PlanCacheStats() sched.PlanCacheStats {
-	if e.cache == nil {
-		return sched.PlanCacheStats{}
-	}
+	e.mu.Lock()
 	st := e.cache.Stats()
+	e.mu.Unlock()
 	return sched.PlanCacheStats{
 		Hits:          st.Hits,
 		IntervalHits:  st.IntervalHits,
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
 		Invalidations: st.Invalidations,
-	}
-}
-
-// InvalidatePlanCache drops every cached plan (for callers that mutate
-// profile tables or filters in place, invisibly to the oracle identity).
-func (e *ESG) InvalidatePlanCache() {
-	if e.cache != nil {
-		e.cache.Invalidate()
-		e.sigs = nil
 	}
 }
 

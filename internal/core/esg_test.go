@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -196,5 +197,47 @@ func TestESGMarginTightensTarget(t *testing.T) {
 	tt := env.Oracle.Estimate(fn, tight.Candidates[0]).Time
 	if tt > lt {
 		t.Errorf("tighter margin picked slower config: %v vs %v", tt, lt)
+	}
+}
+
+// TestESGDefaultPlansAtExactTarget pins the policy of ESG's plan cache: a
+// default ESG plans at the caller's exact group target (its cache is
+// exact), and only EnablePlanCache's bucketed cache plans at the target
+// floored to its bucket. The queue is aged until its group target falls
+// strictly inside a 5 ms bucket where the two targets plan differently.
+func TestESGDefaultPlansAtExactTarget(t *testing.T) {
+	env, qs := schedEnv(t, workflow.Moderate)
+	q := qs.Get(0, 0)
+	pushJobs(q, env.Apps[0], 0, 3, 0, env.SLOs[0])
+	e := New()
+	floor := NewPlanCache(0, 0).QuantizeGSLO
+
+	var now time.Duration
+	var exact, floored []profile.Config
+	for now = 0; now < env.SLOs[0]; now += 97 * time.Microsecond {
+		in, _ := e.searchInput(env, q, now)
+		if in.GSLO <= 0 || floor(in.GSLO) == in.GSLO {
+			continue
+		}
+		exact = firstStageConfigs(Search(in), q.Len())
+		in.GSLO = floor(in.GSLO)
+		floored = firstStageConfigs(Search(in), q.Len())
+		if !reflect.DeepEqual(exact, floored) {
+			break
+		}
+	}
+	if now >= env.SLOs[0] {
+		t.Fatal("no queue age whose floored target plans differently from the exact one")
+	}
+
+	if got := e.Plan(env, q, now).Candidates; !reflect.DeepEqual(got, exact) {
+		t.Errorf("default ESG at %v: candidates %v, want the exact-target search's %v", now, got, exact)
+	}
+	if n := e.PlanCacheStats().Lookups(); n == 0 {
+		t.Errorf("default ESG planned without its plan cache (0 lookups)")
+	}
+	e.EnablePlanCache(0, 0)
+	if got := e.Plan(env, q, now).Candidates; !reflect.DeepEqual(got, floored) {
+		t.Errorf("bucketed ESG at %v: candidates %v, want the floored-target search's %v", now, got, floored)
 	}
 }

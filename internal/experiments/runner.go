@@ -86,8 +86,8 @@ type Runner struct {
 	// Parallel is the worker-pool size for Resolve; <= 1 runs cells
 	// sequentially in declaration order.
 	Parallel int
-	// PlanCache enables the ESG_1Q plan cache on schedulers that support
-	// it (sched.PlanCaching). Each run gets its own cache.
+	// PlanCache swaps ESG's exact plan cache for the 5 ms-bucket
+	// approximation (controller.Config.PlanCache), one per run.
 	PlanCache bool
 	// PlanCacheSize bounds the per-run cache (0 = default).
 	PlanCacheSize int

@@ -177,8 +177,8 @@ type PlanCaching interface {
 	// EnablePlanCache attaches a memoized search layer. capacity bounds
 	// the number of cached plans; granularity is the target-latency
 	// bucket width. Non-positive values select the implementation's
-	// defaults. Schedulers whose memo is structural and always on
-	// (bounded key space, nothing to size) treat this as a no-op.
+	// defaults. ESG swaps its exact cache for this one; schedulers whose
+	// memo is structural (bounded key space) treat this as a no-op.
 	EnablePlanCache(capacity int, granularity time.Duration)
 	// PlanCacheStats returns the cache counters (zero without a cache).
 	PlanCacheStats() PlanCacheStats
