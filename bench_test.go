@@ -140,7 +140,11 @@ func BenchmarkSec53BruteForce(b *testing.B) {
 		b.Skip("brute force over 256^4 paths is not a -short benchmark")
 	}
 	for i := 0; i < b.N; i++ {
-		emit(experiments.Sec53(nil))
+		t, err := experiments.Sec53(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		emit(t)
 	}
 }
 

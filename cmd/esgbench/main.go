@@ -174,7 +174,7 @@ func run(r *experiments.Runner, target string, spec experiments.ScaleSpec, fault
 	case "fig12":
 		return experiments.Fig12(r)
 	case "sec53":
-		return experiments.Sec53(&r.Wall), nil
+		return experiments.Sec53(&r.Wall)
 	default:
 		return nil, fmt.Errorf("unknown target (want all, table1, table3, table4, fig5..fig12, sec53, scale, chaos, planet)")
 	}

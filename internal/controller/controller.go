@@ -449,11 +449,10 @@ func (c *Controller) Execute() *metrics.Result {
 	if pc, ok := c.scheduler.(sched.PlanCaching); ok {
 		st := pc.PlanCacheStats()
 		c.collector.RecordCacheStats(metrics.PlanCacheCounters{
-			Hits:          st.Hits,
-			IntervalHits:  st.IntervalHits,
-			Misses:        st.Misses,
-			Evictions:     st.Evictions,
-			Invalidations: st.Invalidations,
+			Hits:         st.Hits,
+			IntervalHits: st.IntervalHits,
+			Misses:       st.Misses,
+			Evictions:    st.Evictions,
 		})
 	}
 	res := c.collector.Finalize(cold, warm, unfinished, utilCPU, utilGPU, c.engine.Now())

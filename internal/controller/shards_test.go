@@ -33,9 +33,9 @@ type miniScaleCell struct {
 func randomMiniCell(seed uint64) miniScaleCell {
 	src := rng.New(seed * 0x9E3779B97F4A7C15)
 	c := miniScaleCell{
-		nodes:    4 + int(src.Uint64()%13),       // 4..16 invokers
-		load:     20 + float64(src.Uint64()%80),  // 20..99x compression
-		requests: 120 + int(src.Uint64()%180),    // 120..299 requests
+		nodes:    4 + int(src.Uint64()%13),      // 4..16 invokers
+		load:     20 + float64(src.Uint64()%80), // 20..99x compression
+		requests: 120 + int(src.Uint64()%180),   // 120..299 requests
 		apps:     workflow.ScaleApps(),
 	}
 	tr, err := workload.GenerateCompressed(workload.Heavy, c.load, c.requests, len(c.apps), rng.New(seed))
@@ -85,7 +85,6 @@ func stripCacheCounters(r *metrics.Result) *metrics.Result {
 	cp.PlanCacheIntervalHits = 0
 	cp.PlanCacheMisses = 0
 	cp.PlanCacheEvictions = 0
-	cp.PlanCacheInvalidations = 0
 	return &cp
 }
 

@@ -52,9 +52,8 @@ type CacheStats struct {
 	// through its GSLO feasibility interval (see Search).
 	IntervalHits uint64
 	// Misses are cold searches from the virtual root.
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Misses    uint64
+	Evictions uint64
 }
 
 // Lookups returns the total number of Search calls observed.
@@ -63,8 +62,8 @@ func (s CacheStats) Lookups() uint64 {
 }
 
 // cacheKey identifies one memoized ESG_1Q search: the stage-group signature
-// (function sequence + filter identity + table epoch), the quantized queue
-// depth, the GSLO bucket, and the remaining search inputs.
+// (function sequence + filter identity + table generation), the quantized
+// queue depth, the GSLO bucket, and the remaining search inputs.
 type cacheKey struct {
 	sig      string
 	gslo     int64 // GSLO floored to a granularity bucket
@@ -141,11 +140,9 @@ type PlanCache struct {
 
 	// oracleIDs names each profile-table generation ever seen by this
 	// cache, so schedulers sharing the cache across different oracles
-	// can never collide on a signature. Invalidate bumps idEpoch, which
-	// prefixes every ID — old signatures can never resurface.
+	// can never collide on a signature.
 	oracleIDs map[*profile.Oracle]uint64
 	nextID    uint64
-	idEpoch   uint64
 }
 
 type cacheEntry struct {
@@ -220,7 +217,7 @@ func (c *PlanCache) TableID(o *profile.Oracle) string {
 		id = c.nextID
 		c.oracleIDs[o] = id
 	}
-	return "t" + strconv.FormatUint(c.idEpoch, 10) + "." + strconv.FormatUint(id, 10)
+	return "t" + strconv.FormatUint(id, 10)
 }
 
 // Len returns the number of cached searches.
@@ -278,20 +275,6 @@ func (c *PlanCache) Integrity() error {
 		}
 	}
 	return nil
-}
-
-// Invalidate drops every cached plan. Callers must invoke it whenever the
-// profile tables or admissibility filters behind a signature change, since
-// cached paths embed estimates from the old tables.
-func (c *PlanCache) Invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[cacheKey]*list.Element)
-	c.order.Init()
-	c.intervals = make(map[intervalKey]*intervalList)
-	c.oracleIDs = make(map[*profile.Oracle]uint64)
-	c.idEpoch++
-	c.stats.Invalidations++
-	c.mu.Unlock()
 }
 
 // QuantizeGSLO floors d to the cache's bucket width (at least one bucket,

@@ -106,26 +106,56 @@ func TestPlanCacheDepthQuantization(t *testing.T) {
 	}
 }
 
-func TestPlanCacheInvalidate(t *testing.T) {
+func TestPlanCacheSignatureChangeMisses(t *testing.T) {
+	// Signatures name the oracle generation and the filter, so new tables
+	// or a new filter arrive under a new signature and must miss.
 	o := smallOracle()
 	c := NewPlanCache(8, 5*time.Millisecond)
 	in := cacheInput(o, 526*time.Millisecond)
 	c.Search(in, "sig")
 	c.Search(in, "sig")
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after Invalidate", c.Len())
+	c.Search(in, "sig2")
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("signature change did not miss: %+v", st)
 	}
-	c.Search(in, "sig")
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 1 || st.Invalidations != 1 {
-		t.Errorf("stats after invalidate: %+v", st)
+}
+
+func TestPlanCacheExactHitOutlivesIntervalEviction(t *testing.T) {
+	// The exact-key LRU answers targets the interval tier has already
+	// forgotten: a tightening ladder of more than maxIntervalPerKey cold
+	// searches under one interval key pushes the first target's interval
+	// entry out, and no later entry covers it (each was searched below the
+	// first). Re-searching the first target must still hit exactly.
+	o := testOracle()
+	c := NewPlanCache(DefaultCacheSize, time.Nanosecond)
+	sig := GroupSignature("t1", []string{profile.SuperResolution, profile.Segmentation, profile.Classification}, "")
+	first := cacheInput(o, 4*time.Second)
+	gslo := first.GSLO
+	for i := 0; i <= maxIntervalPerKey; i++ {
+		res := c.Search(cacheInput(o, gslo), sig)
+		if st := c.Stats(); st.Misses != uint64(i+1) || !res.Feasible {
+			t.Fatalf("rung %d at %v: want a feasible cold search, got feasible=%v stats %+v", i, gslo, res.Feasible, st)
+		}
+		// Just below the slowest kept path: no earlier entry covers it.
+		for _, p := range res.Paths {
+			gslo = min(gslo, p.Time-1)
+		}
+	}
+	for _, lst := range c.intervals {
+		for _, ent := range lst.entries {
+			if ent.computedAt >= first.GSLO {
+				t.Fatalf("interval entry at %v still covers the first target %v", ent.computedAt, first.GSLO)
+			}
+		}
 	}
 
-	// A changed signature (new tables / new filter) must also miss.
-	c.Search(in, "sig2")
-	if st := c.Stats(); st.Misses != 3 {
-		t.Errorf("signature change did not miss: %+v", st)
+	before := c.Stats()
+	got := c.Search(first, sig)
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("re-search of the first target: stats %+v → %+v, want one exact hit", before, st)
+	}
+	if want := Search(first); !reflect.DeepEqual(got, want) {
+		t.Errorf("exact hit differs from a fresh search")
 	}
 }
 
@@ -432,10 +462,6 @@ func TestPlanCacheTableIDsDistinguishOracles(t *testing.T) {
 	}
 	if again := c.TableID(small); again != a {
 		t.Errorf("table ID not stable: %q then %q", a, again)
-	}
-	c.Invalidate()
-	if after := c.TableID(small); after == a {
-		t.Errorf("table ID %q survived Invalidate", a)
 	}
 }
 

@@ -26,7 +26,7 @@
 //     buckets (-plancache) are an approximation that can plan otherwise.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
-//     bound, Search, SearchLevelwise and BruteForceSearch all degrade
-//     through the same overConstrainedFallback (filter first, batch
-//     bound relaxed second), so ablations and the oracle agree.
+//     bound, Search and the BruteForceSearch oracle both degrade through
+//     the same overConstrainedFallback (filter first, batch bound
+//     relaxed second), so ablations and the oracle agree.
 package core

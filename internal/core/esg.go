@@ -283,11 +283,10 @@ func (e *ESG) PlanCacheStats() sched.PlanCacheStats {
 	st := e.cache.Stats()
 	e.mu.Unlock()
 	return sched.PlanCacheStats{
-		Hits:          st.Hits,
-		IntervalHits:  st.IntervalHits,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
+		Hits:         st.Hits,
+		IntervalHits: st.IntervalHits,
+		Misses:       st.Misses,
+		Evictions:    st.Evictions,
 	}
 }
 

@@ -209,14 +209,11 @@ func TestPathConfigs(t *testing.T) {
 	}
 }
 
-func TestShardedFrontierMatchesLevelwise(t *testing.T) {
-	// Mid-search the frontier flips from one global heap to per-stage
-	// shards once the arena crosses shardThreshold (lowered here so a
-	// tractable input exercises the flip). Under pathLess's total order
-	// the kept top-K is a pure function of the candidate set, so the
-	// sharded search must agree byte for byte with both the unsharded
-	// search and the independently-written level-wise engine.
-	defer func(old int) { shardThreshold = old }(shardThreshold)
+func TestFullSpaceSearchMatchesLevelwise(t *testing.T) {
+	// A three-stage search over the full 256-config space grows a frontier
+	// of thousands of nodes. Under pathLess's total order the kept top-K is
+	// a pure function of the candidate set, so the A* search must agree
+	// byte for byte with the independently-written level-wise engine.
 	o := testOracle()
 	tables := tablesFor(o, profile.SuperResolution, profile.Segmentation, profile.Classification)
 	gslo := time.Duration(0)
@@ -225,28 +222,13 @@ func TestShardedFrontierMatchesLevelwise(t *testing.T) {
 	}
 	in := SearchInput{Tables: tables, GSLO: 3 * gslo / 2, K: 5, Hop: 2 * time.Millisecond}
 
-	shardThreshold = 1 << 30 // effectively off
-	plain := NewSearcher()
-	unsharded := plain.Search(in)
-	if plain.sharded {
-		t.Fatal("unsharded reference search sharded anyway")
-	}
-
-	shardThreshold = 2048
-	s := NewSearcher()
-	got := s.Search(in)
-	if !s.sharded {
-		t.Fatalf("search stayed unsharded (arena %d); pick a larger input", len(s.arena))
-	}
-	if !reflect.DeepEqual(got.Paths, unsharded.Paths) || got.Feasible != unsharded.Feasible {
-		t.Errorf("sharded search disagrees with the unsharded search")
-	}
+	got := NewSearcher().Search(in)
 	want := SearchLevelwise(in)
 	if got.Feasible != want.Feasible {
 		t.Fatalf("feasible %v vs levelwise %v", got.Feasible, want.Feasible)
 	}
 	if !reflect.DeepEqual(got.Paths, want.Paths) {
-		t.Errorf("sharded search disagrees with the level-wise engine")
+		t.Errorf("search disagrees with the level-wise engine")
 	}
 }
 

@@ -106,21 +106,15 @@ func comparePaths(t *testing.T, desc string, got, want SearchResult) {
 	}
 }
 
-// TestDegenerateShardColdLadder is the degenerate-shard case of the
-// sharded frontier: the frontier is forced into per-stage shard mode
-// (lowered shardThreshold) on inputs where one stage's constraints admit
-// nothing — its list is overConstrainedFallback's single config, so that
-// stage's sub-frontier drains immediately and stays empty while the other
-// shards carry the whole search. One Searcher then runs cold searches down
-// a tightening GSLO ladder, reusing its scratch; every answer must match
-// the exhaustive oracle at that target.
-func TestDegenerateShardColdLadder(t *testing.T) {
-	defer func(old int) { shardThreshold = old }(shardThreshold)
-	// Low enough that even a blade-pruned arena (the cost blade engages
-	// within a handful of expansions at a loose target) crosses it.
-	shardThreshold = 32
-
-	o := testOracle() // 256-config space: enough arena to cross the threshold
+// TestDegenerateColdLadder runs over-constrained inputs where one stage's
+// constraints admit nothing — its list is overConstrainedFallback's single
+// config, so that stage contributes exactly one child per parent while the
+// other stages carry the whole search over the 256-config space. One
+// Searcher then runs cold searches down a tightening GSLO ladder, reusing
+// its scratch; every answer must match the exhaustive oracle at that
+// target.
+func TestDegenerateColdLadder(t *testing.T) {
+	o := testOracle()
 	onlyBatch4 := func(c profile.Config) bool { return c.Batch == 4 }
 	tables := tablesFor(o, profile.SuperResolution, profile.Segmentation,
 		profile.Classification, profile.Deblur)
@@ -130,12 +124,7 @@ func TestDegenerateShardColdLadder(t *testing.T) {
 		MaxFirstBatch: 2, Filter: onlyBatch4}
 
 	s := NewSearcher()
-	res := s.Search(base)
-	if !s.sharded {
-		t.Fatalf("frontier never sharded (arena %d ≤ threshold %d); the degenerate case needs shard mode",
-			len(s.arena), shardThreshold)
-	}
-	comparePaths(t, "search at 4s", res, BruteForceSearch(base))
+	comparePaths(t, "search at 4s", s.Search(base), BruteForceSearch(base))
 
 	for _, gslo := range []time.Duration{
 		3 * time.Second, 2 * time.Second, 1500 * time.Millisecond,
@@ -147,15 +136,11 @@ func TestDegenerateShardColdLadder(t *testing.T) {
 	}
 }
 
-// TestDegenerateShardColdLadderRandomized sweeps randomized tightening
-// GSLO ladders with the shard threshold low enough that even SmallSpace
-// searches run sharded, over filters that leave stages empty (fallback
-// lists), nearly empty, or untouched. Every rung is a cold search on one
-// reused Searcher and must match the oracle.
-func TestDegenerateShardColdLadderRandomized(t *testing.T) {
-	defer func(old int) { shardThreshold = old }(shardThreshold)
-	shardThreshold = 8
-
+// TestDegenerateColdLadderRandomized sweeps randomized tightening GSLO
+// ladders over filters that leave stages empty (fallback lists), nearly
+// empty, or untouched. Every rung is a cold search on one reused Searcher
+// and must match the oracle.
+func TestDegenerateColdLadderRandomized(t *testing.T) {
 	o := smallOracle()
 	names := []string{profile.SuperResolution, profile.Segmentation, profile.Deblur,
 		profile.Classification, profile.BackgroundRemoval, profile.DepthRecognition}
@@ -170,7 +155,6 @@ func TestDegenerateShardColdLadderRandomized(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	s := NewSearcher()
-	sharded := 0
 	for trial := 0; trial < 60; trial++ {
 		m := 2 + rng.Intn(2)
 		fns := make([]string, m)
@@ -192,15 +176,8 @@ func TestDegenerateShardColdLadderRandomized(t *testing.T) {
 			if rung > 0 {
 				in.GSLO = in.GSLO * time.Duration(60+rng.Intn(35)) / 100
 			}
-			got := s.Search(in)
-			if s.sharded {
-				sharded++
-			}
-			comparePaths(t, fmt.Sprintf("%s rung %d gslo=%v", desc, rung, in.GSLO), got, BruteForceSearch(in))
+			comparePaths(t, fmt.Sprintf("%s rung %d gslo=%v", desc, rung, in.GSLO), s.Search(in), BruteForceSearch(in))
 		}
-	}
-	if sharded == 0 {
-		t.Fatal("no rung ran with a sharded frontier; the sweep does not cover shard mode")
 	}
 }
 

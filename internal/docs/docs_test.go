@@ -37,11 +37,11 @@ func TestSymbolFor(t *testing.T) {
 		{"`core.PlanCache`", "PlanCache"},
 		{"`Searcher.Search`", "Search"},
 		{"`pathLess`", "pathLess"},
-		{"`esg.go`", ""},        // file name, not a symbol
-		{"`ci.yml`", ""},        // file name
-		{"`internal/cli`", ""},  // path
-		{"plain prose", ""},     // not backticked
-		{"`a`/`b`", ""},         // compound text
+		{"`esg.go`", ""},       // file name, not a symbol
+		{"`ci.yml`", ""},       // file name
+		{"`internal/cli`", ""}, // path
+		{"plain prose", ""},    // not backticked
+		{"`a`/`b`", ""},        // compound text
 	}
 	for _, c := range cases {
 		if got := symbolFor(c.text); got != c.want {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"github.com/esg-sched/esg/internal/baselines/orion"
@@ -148,8 +149,10 @@ func Fig11(r *Runner) (*Table, error) {
 // versus exhaustive enumeration on 256-configuration functions, for group
 // sizes 3 and 4. The millisecond columns are wall-clock readings taken
 // from w (nil = an enabled sink); a disabled sink zeroes them so the
-// whole table diffs byte-identically across runs.
-func Sec53(w *metrics.Wall) *Table {
+// whole table diffs byte-identically across runs. The enumeration doubles
+// as a full-size oracle check: Sec53 fails when ESG_1Q's top-K paths
+// differ from brute force's.
+func Sec53(w *metrics.Wall) (*Table, error) {
 	t := &Table{
 		ID:      "sec53",
 		Title:   "Search time: ESG_1Q (A* + dual-blade pruning) vs brute force, 256 configs/function",
@@ -179,6 +182,10 @@ func Sec53(w *metrics.Wall) *Table {
 		wt = w.Start()
 		bf := core.BruteForceSearch(in)
 		bfMS := wt.Millis()
+		if res.Feasible != bf.Feasible || !reflect.DeepEqual(res.Paths, bf.Paths) {
+			return nil, fmt.Errorf("group size %d: ESG_1Q's %d paths (feasible %v) differ from brute force's %d (feasible %v)",
+				g, len(res.Paths), res.Feasible, len(bf.Paths), bf.Feasible)
+		}
 
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", g),
@@ -191,5 +198,5 @@ func Sec53(w *metrics.Wall) *Table {
 	t.Notes = append(t.Notes,
 		"paper: brute force ≈7258 ms at group size 3; group size 4 search ≈1201 ms — pruning keeps ESG orders of magnitude faster",
 	)
-	return t
+	return t, nil
 }

@@ -28,11 +28,10 @@ type Export struct {
 	ConfigMisses int     `json:"config_misses"`
 	MissRate     float64 `json:"miss_rate"`
 
-	PlanCacheHits          uint64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheIntervalHits  uint64 `json:"plan_cache_interval_hits,omitempty"`
-	PlanCacheMisses        uint64 `json:"plan_cache_misses,omitempty"`
-	PlanCacheEvictions     uint64 `json:"plan_cache_evictions,omitempty"`
-	PlanCacheInvalidations uint64 `json:"plan_cache_invalidations,omitempty"`
+	PlanCacheHits         uint64 `json:"plan_cache_hits,omitempty"`
+	PlanCacheIntervalHits uint64 `json:"plan_cache_interval_hits,omitempty"`
+	PlanCacheMisses       uint64 `json:"plan_cache_misses,omitempty"`
+	PlanCacheEvictions    uint64 `json:"plan_cache_evictions,omitempty"`
 
 	// Faults is present only when fault injection touched the run, so
 	// fault-free exports are byte-identical to pre-fault-engine ones.
@@ -117,11 +116,10 @@ func (r *Result) ToExport(includeSeries bool) Export {
 		ConfigMisses: r.ConfigMisses,
 		MissRate:     r.MissRate(),
 
-		PlanCacheHits:          r.PlanCacheHits,
-		PlanCacheIntervalHits:  r.PlanCacheIntervalHits,
-		PlanCacheMisses:        r.PlanCacheMisses,
-		PlanCacheEvictions:     r.PlanCacheEvictions,
-		PlanCacheInvalidations: r.PlanCacheInvalidations,
+		PlanCacheHits:         r.PlanCacheHits,
+		PlanCacheIntervalHits: r.PlanCacheIntervalHits,
+		PlanCacheMisses:       r.PlanCacheMisses,
+		PlanCacheEvictions:    r.PlanCacheEvictions,
 		OverheadMS: OverheadStats{
 			N: box.N, Min: box.Min, Median: box.Median, Mean: box.Mean, Max: box.Max,
 		},

@@ -90,11 +90,10 @@ type Result struct {
 	// Plan-cache counters (zero when the scheduler ran without a
 	// memoized search layer). A lookup resolves as exactly one of hit,
 	// interval hit, or miss (a cold search).
-	PlanCacheHits          uint64
-	PlanCacheIntervalHits  uint64
-	PlanCacheMisses        uint64
-	PlanCacheEvictions     uint64
-	PlanCacheInvalidations uint64
+	PlanCacheHits         uint64
+	PlanCacheIntervalHits uint64
+	PlanCacheMisses       uint64
+	PlanCacheEvictions    uint64
 	// PlanCacheResumes is always 0: the plan cache has no resume tier. The
 	// field is kept only because perfbench's report still reads it.
 	PlanCacheResumes uint64
@@ -276,11 +275,10 @@ type Collector struct {
 // PlanCacheCounters carries a scheduler's memoized-search counters into
 // the collector (see the PlanCache* fields of Result).
 type PlanCacheCounters struct {
-	Hits          uint64
-	IntervalHits  uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Hits         uint64
+	IntervalHits uint64
+	Misses       uint64
+	Evictions    uint64
 }
 
 // NewCollector starts collection for one run with the exact (stored-sample)
@@ -399,26 +397,25 @@ func (c *Collector) RecordDroppedJob() { c.faults.DroppedJobs++ }
 // from the cluster and engine; unfinished counts instances never completed.
 func (c *Collector) Finalize(coldStarts, warmStarts, unfinished int, utilCPU, utilGPU float64, simTime time.Duration) *Result {
 	r := &Result{
-		Scheduler:              c.scheduler,
-		Workload:               c.workload,
-		SLOLevel:               c.sloLevel,
-		Tasks:                  c.tasks,
-		ForcedMin:              c.forcedMin,
-		PrePlannedPlans:        c.prePlanned,
-		ConfigMisses:           c.misses,
-		ColdStarts:             coldStarts,
-		WarmStarts:             warmStarts,
-		PlanCacheHits:          c.cache.Hits,
-		PlanCacheIntervalHits:  c.cache.IntervalHits,
-		PlanCacheMisses:        c.cache.Misses,
-		PlanCacheEvictions:     c.cache.Evictions,
-		PlanCacheInvalidations: c.cache.Invalidations,
-		Faults:                 c.faults,
-		Xfer:                   c.xfer,
-		Unfinished:             unfinished,
-		UtilCPU:                utilCPU,
-		UtilGPU:                utilGPU,
-		SimTime:                simTime,
+		Scheduler:             c.scheduler,
+		Workload:              c.workload,
+		SLOLevel:              c.sloLevel,
+		Tasks:                 c.tasks,
+		ForcedMin:             c.forcedMin,
+		PrePlannedPlans:       c.prePlanned,
+		ConfigMisses:          c.misses,
+		ColdStarts:            coldStarts,
+		WarmStarts:            warmStarts,
+		PlanCacheHits:         c.cache.Hits,
+		PlanCacheIntervalHits: c.cache.IntervalHits,
+		PlanCacheMisses:       c.cache.Misses,
+		PlanCacheEvictions:    c.cache.Evictions,
+		Faults:                c.faults,
+		Xfer:                  c.xfer,
+		Unfinished:            unfinished,
+		UtilCPU:               utilCPU,
+		UtilGPU:               utilGPU,
+		SimTime:               simTime,
 	}
 	c.recorder.finalizeInto(r, c.apps)
 	return r

@@ -157,11 +157,10 @@ type ConcurrentPlanner interface {
 // the interval tier — the baselines' plan memo — report only Hits and
 // Misses.
 type PlanCacheStats struct {
-	Hits          uint64
-	IntervalHits  uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Hits         uint64
+	IntervalHits uint64
+	Misses       uint64
+	Evictions    uint64
 }
 
 // Lookups returns the total number of memoized searches observed.
